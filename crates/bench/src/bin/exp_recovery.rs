@@ -1,24 +1,24 @@
-//! `recovery-classes`: which recoverability guarantees do the schedulers'
+//! `recovery-classes`: which recoverability guarantees do the certifiers'
 //! committed traces carry?
 //!
 //! The paper's introduction faults the serializable class for including
 //! non-recoverable and cascading schedules. Strict 2PL yields strict (`ST`)
-//! traces by construction. For the multiversion schedulers (MVTO, KS) the
-//! flat trace's single-version reads-from OVER-approximates dependencies —
-//! a read attributed to the last writer may actually have consumed an older
+//! traces by construction — also under the workloads' cooperation chains,
+//! since 2PL honours chain order at commit and counts that wait in its
+//! deadlock detector. For the multiversion certifiers (SSI, CPC) the flat
+//! trace's single-version reads-from OVER-approximates dependencies — a
+//! read attributed to the last writer may actually have consumed an older
 //! version — so their RC/ACA/ST columns are a conservative lower bound:
 //! `false` there means "not guaranteed at the flat-trace level", which is
-//! exactly the paper's point — reading in-flight versions IS the
+//! exactly the paper's point for CPC — reading in-flight versions IS the
 //! cooperation feature, repaired by cascading undo rather than prevented.
 
-use ks_baselines::{MultiversionTimestampOrdering, TwoPhaseLocking};
-use ks_protocol::KsProtocolAdapter;
+use ks_protocol::sim::simulate;
+use ks_protocol::Backend;
 use ks_schedule::recovery::CommittedSchedule;
 use ks_schedule::{Op, Schedule, TxnId};
 use ks_sim::trace::committed_ops;
-use ks_sim::{
-    ConcurrencyControl, Engine, EngineConfig, TraceEvent, TraceKind, Workload, WorkloadSpec,
-};
+use ks_sim::{TraceEvent, TraceKind, Workload, WorkloadSpec};
 use std::collections::BTreeMap;
 
 fn committed_schedule(trace: &[TraceEvent]) -> CommittedSchedule {
@@ -49,12 +49,6 @@ fn committed_schedule(trace: &[TraceEvent]) -> CommittedSchedule {
     CommittedSchedule::with_commits(schedule, commit_after)
 }
 
-fn run<C: ConcurrencyControl>(w: &Workload, cc: C) -> (String, CommittedSchedule) {
-    let name = cc.name().to_string();
-    let (_, trace, _) = Engine::new(w, cc, EngineConfig::default()).run();
-    (name, committed_schedule(&trace))
-}
-
 fn main() {
     println!("recovery-classes — RC / ACA / ST of committed traces\n");
     println!("scheduler           seed  recoverable  avoids_cascading  strict");
@@ -72,28 +66,27 @@ fn main() {
             chain_length: 2,
             seed,
         });
-        for (name, cs) in [
-            run(&w, TwoPhaseLocking::new()),
-            run(&w, MultiversionTimestampOrdering::new()),
-            run(&w, KsProtocolAdapter::for_workload(&w)),
-        ] {
+        for backend in Backend::all() {
+            let (_, trace, _) = simulate(backend, &w);
+            let cs = committed_schedule(&trace);
             println!(
-                "{name:<18} {seed:>5}  {:>11}  {:>16}  {:>6}",
+                "{:<18} {seed:>5}  {:>11}  {:>16}  {:>6}",
+                backend.name(),
                 cs.is_recoverable(),
                 cs.avoids_cascading_aborts(),
                 cs.is_strict()
             );
             rows += 1;
-            // Invariants the schedulers guarantee:
-            if name == "strict-2pl" {
+            // The invariant 2PL guarantees. (SSI/CPC columns are
+            // conservative: flat traces cannot express which VERSION a
+            // read consumed.)
+            if backend == Backend::TwoPl {
                 assert!(cs.is_strict(), "strict 2PL must be ST");
             }
-            // (MVTO/KS columns are conservative: flat traces cannot
-            // express which VERSION a read consumed.)
         }
     }
     println!("\nrows: {rows}");
-    println!("strict-2pl is always strict. The multiversion rows are conservative");
+    println!("2pl is always strict. The multiversion rows are conservative");
     println!("lower bounds (flat traces can't say which version a read consumed);");
     println!("the KS protocol intentionally gives up ACA — reading in-flight");
     println!("versions IS the cooperation the paper wants, repaired by cascading undo.");

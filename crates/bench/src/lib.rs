@@ -10,14 +10,12 @@
 pub mod driver;
 pub mod report;
 
-use ks_baselines::{
-    MultiversionTimestampOrdering, PredicatewiseTwoPhaseLocking, TimestampOrdering, TwoPhaseLocking,
-};
 use ks_predicate::random::SplitMix64;
-use ks_protocol::KsProtocolAdapter;
+use ks_protocol::sim::simulate;
+use ks_protocol::Backend;
 use ks_schedule::search::Programs;
 use ks_schedule::{Op, Schedule, TxnId};
-use ks_sim::{Engine, EngineConfig, Metrics, Workload, WorkloadSpec};
+use ks_sim::{Metrics, Workload};
 
 /// Generate a single random interleaving of the given programs (uniform
 /// among next-step choices; preserves each program's order). Used where
@@ -62,54 +60,19 @@ pub fn random_programs(
         .collect()
 }
 
-/// Run one workload under all five schedulers; returns metrics in the
-/// order `[2PL, PW2PL, TO, MVTO, KS]`.
-pub fn run_all_schedulers(workload: &Workload) -> Vec<Metrics> {
-    let config = EngineConfig::default();
-    vec![
-        Engine::new(workload, TwoPhaseLocking::new(), config)
-            .run()
-            .0,
-        Engine::new(
-            workload,
-            PredicatewiseTwoPhaseLocking::for_workload(workload),
-            config,
-        )
-        .run()
-        .0,
-        Engine::new(workload, TimestampOrdering::new(), config)
-            .run()
-            .0,
-        Engine::new(workload, MultiversionTimestampOrdering::new(), config)
-            .run()
-            .0,
-        Engine::new(workload, KsProtocolAdapter::for_workload(workload), config)
-            .run()
-            .0,
-    ]
-}
-
-/// The Section 2.4 sweep: transaction duration (think time) from short to
-/// very long, fixed contention.
-pub fn duration_sweep() -> Vec<(u64, WorkloadSpec)> {
-    [1u64, 5, 20, 50, 100, 200]
+/// Run one workload under every certifier backend, in [`Backend::all`]
+/// order. Each run is held to its backend's own offline oracle: a
+/// history that fails it, or disagrees with the engine on what
+/// committed, panics.
+pub fn run_all_backends(workload: &Workload) -> Vec<Metrics> {
+    Backend::all()
         .into_iter()
-        .map(|think| {
-            (
-                think,
-                WorkloadSpec {
-                    num_txns: 16,
-                    ops_per_txn: 8,
-                    num_entities: 32,
-                    read_pct: 60,
-                    think_time: think,
-                    hot_fraction_pct: 25,
-                    hot_access_pct: 75,
-                    arrival_spread: 10,
-                    chain_length: 1,
-                    seed: 7,
-                },
-            )
+        .map(|backend| {
+            let (metrics, _, certifier) = simulate(backend, workload);
+            let verdict = certifier.verify_history();
+            assert!(verdict.is_correct(), "{backend}: {verdict:?}");
+            assert_eq!(verdict.committed, metrics.committed, "{backend}");
+            metrics
         })
         .collect()
 }
@@ -130,23 +93,16 @@ mod tests {
     }
 
     #[test]
-    fn all_schedulers_commit_everything_on_small_workload() {
-        let w = Workload::generate(WorkloadSpec {
+    fn all_backends_commit_everything_on_small_workload() {
+        let w = Workload::generate(ks_sim::WorkloadSpec {
             num_txns: 6,
             ops_per_txn: 4,
             num_entities: 16,
             think_time: 2,
-            ..WorkloadSpec::default()
+            ..ks_sim::WorkloadSpec::default()
         });
-        for m in run_all_schedulers(&w) {
+        for m in run_all_backends(&w) {
             assert_eq!(m.committed, 6, "{}", m.scheduler);
         }
-    }
-
-    #[test]
-    fn duration_sweep_shape() {
-        let sweep = duration_sweep();
-        assert_eq!(sweep.len(), 6);
-        assert!(sweep.windows(2).all(|w| w[0].0 < w[1].0));
     }
 }

@@ -163,8 +163,9 @@ pub trait Certifier: Send {
     fn txns(&self) -> Vec<Txn>;
 
     /// Accumulated statistics (backend-appropriate counters mapped onto
-    /// the shared schema: certifier-initiated aborts count as
-    /// `reeval_aborts`, 2PL deadlocks as `validation_failures`…).
+    /// the shared schema: every certifier-initiated abort — CPC re-eval
+    /// victims, SSI dangerous structures and first-committer-wins
+    /// losers, 2PL deadlock victims — counts as `reeval_aborts`).
     fn stats(&self) -> ProtocolStats;
 
     /// The latest *committed* value of every entity, in schema entity

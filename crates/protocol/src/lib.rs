@@ -29,13 +29,13 @@
 //! the `D`-set rules; [`manager`] the phased state machine over
 //! [`ks_mvstore::MvStore`]; [`extract`] converts a finished session into a
 //! model-level [`ks_core::Execution`] so the `ks-core` checkers can verify
-//! Lemma 4 and Theorem 2 on real protocol output; [`adapter`] runs the
-//! protocol under the `ks-sim` engine against the 2PL/TO/MVTO baselines.
+//! Lemma 4 and Theorem 2 on real protocol output; [`sim`] runs any
+//! [`Certifier`] (the protocol, SSI, strict 2PL) under the discrete-event
+//! simulator on `ks-sim` workloads.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod adapter;
 pub mod candidates;
 pub mod certifier;
 pub mod error;
@@ -44,11 +44,11 @@ pub mod history;
 pub mod locks;
 pub mod manager;
 pub mod session;
+pub mod sim;
 pub mod ssi;
 pub mod tpl;
 pub mod wire;
 
-pub use adapter::KsProtocolAdapter;
 pub use certifier::{verify_cpc, Backend, Certifier};
 pub use error::ProtocolError;
 pub use history::{check_serializable, History, HistoryVerdict};

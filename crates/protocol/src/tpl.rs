@@ -1,6 +1,5 @@
 //! Strict two-phase locking: the conflict-serializability (CSR)
-//! baseline behind the [`Certifier`] trait, adapted from the standalone
-//! scheduler in `crates/baselines`.
+//! baseline behind the [`Certifier`] trait.
 //!
 //! Shared locks for reads, exclusive for writes, all held to the end of
 //! the transaction (strictness), with an upgrade when the requester is
@@ -9,7 +8,10 @@
 //! server maps to the retryable `Busy` — or, if waiting would close a
 //! cycle in the waits-for graph, dies as the deadlock victim
 //! ([`ProtocolError::CertifierAborted`]); the victim is always the
-//! requester, matching `crates/baselines`.
+//! requester. A commit held back by an `after` edge
+//! ([`CommitOutcome::PredecessorsPending`]) is a wait too: it joins the
+//! waits-for graph, so a predecessor blocked on the waiting committer's
+//! locks is a deadlock, not a livelock.
 //!
 //! Writes are buffered and installed at commit, so reads only ever see
 //! committed data (no cascading aborts) and never the transaction's own
@@ -157,7 +159,7 @@ impl TplCertifier {
     }
 
     /// Record that `t` must wait on `blockers` — unless that deadlocks,
-    /// in which case `t` dies as the victim (the baselines policy).
+    /// in which case `t` dies as the victim.
     fn wait_or_die(&mut self, t: usize, blockers: BTreeSet<usize>) -> Result<(), ProtocolError> {
         if self.would_deadlock(t, &blockers) {
             self.do_abort(t);
@@ -309,6 +311,7 @@ impl Certifier for TplCertifier {
         if let Some(p) = self.order.pending_pred(t, |p| {
             matches!(txns[p].state, TxnState::Committed | TxnState::Aborted)
         }) {
+            self.wait_or_die(t, BTreeSet::from([p]))?;
             return Ok(CommitOutcome::PredecessorsPending(Txn(p)));
         }
         let writes = std::mem::take(&mut self.txns[t].writes);
@@ -520,5 +523,27 @@ mod tests {
         );
         c.commit(t1).unwrap();
         assert_eq!(c.commit(t2).unwrap(), CommitOutcome::Committed);
+    }
+
+    #[test]
+    fn commit_order_wait_joins_the_deadlock_detector() {
+        let mut c = tpl(1);
+        let t1 = begin(&mut c);
+        let t2 = c.open(Specification::trivial(), &[t1], &[]).unwrap();
+        c.validate(t2, Strategy::Backtracking).unwrap();
+        c.write(t2, EntityId(0), 2).unwrap();
+        // t1 waits on t2's exclusive lock…
+        assert_eq!(
+            c.write(t1, EntityId(0), 1).unwrap_err(),
+            ProtocolError::WouldBlock(EntityId(0))
+        );
+        // …so t2 waiting on t1 to commit first closes the cycle.
+        let e = c.commit(t2).unwrap_err();
+        assert!(matches!(e, ProtocolError::CertifierAborted { .. }), "{e}");
+        assert_eq!(c.state_of(t2), Ok(TxnState::Aborted));
+        c.write(t1, EntityId(0), 1).unwrap();
+        assert_eq!(c.commit(t1).unwrap(), CommitOutcome::Committed);
+        assert_eq!(c.checkpoint(), vec![1]);
+        assert!(c.verify_history().is_correct());
     }
 }

@@ -1,6 +1,5 @@
 //! Aggregate metrics of a simulation run.
 
-use crate::cc::CcCounters;
 use crate::SimTime;
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -10,7 +9,7 @@ use std::fmt;
 /// of aborts".
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct Metrics {
-    /// Scheduler name.
+    /// Scheduler name (the certifier backend's short name).
     pub scheduler: String,
     /// Committed transactions.
     pub committed: usize,
@@ -31,9 +30,16 @@ pub struct Metrics {
     pub total_latency: SimTime,
     /// Per-transaction commit latencies (commit − arrival), unsorted.
     pub latencies: Vec<SimTime>,
-    /// Scheduler-internal counters (re-eval activity for the KS protocol;
-    /// zeros for the classical baselines).
-    pub cc: CcCounters,
+    /// `re-eval` invocations (CPC only: one per write).
+    pub re_evals: u64,
+    /// `R_v` holders repaired by re-assignment instead of abort (CPC only).
+    pub re_assigns: u64,
+    /// Aborts the certifier initiated itself, for every backend: CPC
+    /// re-eval victims, SSI dangerous-structure and first-committer-wins
+    /// losers, 2PL deadlock victims.
+    pub certifier_aborts: u64,
+    /// Aborts cascaded from other aborts (CPC only).
+    pub cascade_aborts: u64,
 }
 
 impl Metrics {
@@ -79,13 +85,13 @@ impl Metrics {
     /// Table header aligned with [`Metrics::row`].
     pub fn header() -> &'static str {
         "scheduler        commit  waits  wait_time  max_wait  aborts  wasted   makespan  mean_lat  \
-         re_ev  re_as  rv_ab  casc"
+         re_ev  re_as  cert_ab  casc"
     }
 
     /// One aligned table row.
     pub fn row(&self) -> String {
         format!(
-            "{:<16} {:>6} {:>6} {:>10} {:>9} {:>7} {:>7} {:>10} {:>9.1} {:>6} {:>6} {:>6} {:>5}",
+            "{:<16} {:>6} {:>6} {:>10} {:>9} {:>7} {:>7} {:>10} {:>9.1} {:>6} {:>6} {:>8} {:>5}",
             self.scheduler,
             self.committed,
             self.waits,
@@ -95,10 +101,10 @@ impl Metrics {
             self.wasted_work,
             self.makespan,
             self.mean_latency(),
-            self.cc.re_evals,
-            self.cc.re_assigns,
-            self.cc.reeval_aborts,
-            self.cc.cascade_aborts,
+            self.re_evals,
+            self.re_assigns,
+            self.certifier_aborts,
+            self.cascade_aborts,
         )
     }
 }
@@ -126,7 +132,7 @@ mod tests {
             makespan: 1000,
             total_latency: 400,
             latencies: vec![50, 100, 150, 100],
-            cc: CcCounters::default(),
+            ..Metrics::default()
         };
         assert_eq!(m.mean_wait(), 5.0);
         assert_eq!(m.mean_latency(), 100.0);

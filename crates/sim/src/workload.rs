@@ -40,9 +40,9 @@ pub struct SimTxn {
     /// Arrival time.
     pub arrival: SimTime,
     /// Cooperation: the transaction this one is ordered after (same
-    /// chain), if any. Schedulers that understand ordering (the KS
-    /// protocol adapter) turn this into a partial-order edge; classical
-    /// schedulers ignore it.
+    /// chain), if any. The simulator passes it to the certifier as an
+    /// `after` edge; every backend holds the successor's commit until
+    /// the predecessor terminates.
     pub predecessor: Option<SimTxnId>,
 }
 
@@ -95,6 +95,54 @@ impl Default for WorkloadSpec {
             chain_length: 1,
             seed: 42,
         }
+    }
+}
+
+impl WorkloadSpec {
+    /// The `sec24` sweep: transaction duration (think time) from short
+    /// to very long under fixed contention, keyed by think time.
+    pub fn duration_sweep() -> Vec<(SimTime, WorkloadSpec)> {
+        [1, 5, 20, 50, 100, 200]
+            .into_iter()
+            .map(|think| {
+                let spec = WorkloadSpec {
+                    num_txns: 16,
+                    ops_per_txn: 8,
+                    num_entities: 32,
+                    read_pct: 60,
+                    think_time: think,
+                    hot_fraction_pct: 25,
+                    hot_access_pct: 75,
+                    arrival_spread: 10,
+                    chain_length: 1,
+                    seed: 7,
+                };
+                (think, spec)
+            })
+            .collect()
+    }
+
+    /// The `coop-chains` sweep: cooperation chains of growing length,
+    /// keyed by chain length.
+    pub fn chain_sweep() -> Vec<(usize, WorkloadSpec)> {
+        [1, 2, 4, 8]
+            .into_iter()
+            .map(|chain| {
+                let spec = WorkloadSpec {
+                    num_txns: 16,
+                    ops_per_txn: 6,
+                    num_entities: 24,
+                    read_pct: 60,
+                    think_time: 15,
+                    hot_fraction_pct: 25,
+                    hot_access_pct: 75,
+                    arrival_spread: 8,
+                    chain_length: chain,
+                    seed: 21,
+                };
+                (chain, spec)
+            })
+            .collect()
     }
 }
 
@@ -223,6 +271,17 @@ mod tests {
         // chain members arrive in order
         assert!(w.txns[0].arrival < w.txns[1].arrival);
         assert!(w.txns[1].arrival < w.txns[2].arrival);
+    }
+
+    #[test]
+    fn sweeps_vary_only_their_key() {
+        let d = WorkloadSpec::duration_sweep();
+        assert_eq!(d.len(), 6);
+        assert!(d.windows(2).all(|w| w[0].0 < w[1].0));
+        assert!(d.iter().all(|(think, s)| s.think_time == *think));
+        let c = WorkloadSpec::chain_sweep();
+        assert_eq!(c.len(), 4);
+        assert!(c.iter().all(|(chain, s)| s.chain_length == *chain));
     }
 
     #[test]

@@ -1,14 +1,14 @@
 //! The Section 2.4 argument as a runnable comparison: the same
-//! long-duration workload under strict 2PL, timestamp ordering, MVTO, and
-//! the Korth–Speegle protocol.
+//! long-duration workload under every certifier backend — strict 2PL,
+//! SSI, and the Korth–Speegle protocol (CPC).
 //!
 //! ```sh
 //! cargo run --release --example long_transactions
 //! ```
 
-use korth_speegle::baselines::{MultiversionTimestampOrdering, TimestampOrdering, TwoPhaseLocking};
-use korth_speegle::protocol::KsProtocolAdapter;
-use korth_speegle::sim::{Engine, EngineConfig, Metrics, Workload, WorkloadSpec};
+use korth_speegle::protocol::sim::simulate;
+use korth_speegle::protocol::Backend;
+use korth_speegle::sim::{Metrics, Workload, WorkloadSpec};
 
 fn main() {
     println!("Long-duration designers: 12 transactions, 8 ops each, heavy hotspot.");
@@ -29,23 +29,15 @@ fn main() {
         });
         println!("— think time {think} ticks —");
         println!("  {}", Metrics::header());
-        let config = EngineConfig::default();
-        let runs: Vec<Metrics> = vec![
-            Engine::new(&w, TwoPhaseLocking::new(), config).run().0,
-            Engine::new(&w, TimestampOrdering::new(), config).run().0,
-            Engine::new(&w, MultiversionTimestampOrdering::new(), config)
-                .run()
-                .0,
-            Engine::new(&w, KsProtocolAdapter::for_workload(&w), config)
-                .run()
-                .0,
-        ];
-        for m in &runs {
+        for backend in Backend::all() {
+            let (m, _, certifier) = simulate(backend, &w);
             println!("  {}", m.row());
+            assert!(certifier.verify_history().is_correct(), "{backend}");
+            if backend == Backend::Cpc {
+                assert_eq!(m.waits, 0);
+                assert_eq!(m.aborts, 0);
+            }
         }
-        let ks = &runs[3];
-        assert_eq!(ks.waits, 0);
-        assert_eq!(ks.aborts, 0);
         println!();
     }
     println!("The KS protocol's waits and aborts stay at zero as transactions");

@@ -11,6 +11,9 @@ cd "$(dirname "$0")/.."
 echo "== cargo fmt --check"
 cargo fmt --check
 
+echo "== perfbench lockfile still matches the crate graph (cargo would rewrite it silently)"
+cargo metadata --offline --locked --manifest-path perfbench/Cargo.toml --format-version 1 >/dev/null
+
 echo "== cargo clippy --all-targets -- -D warnings"
 cargo clippy --all-targets -- -D warnings
 

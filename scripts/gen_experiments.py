@@ -180,7 +180,8 @@ required three strengthenings of the literal protocol; see DESIGN.md
 `crates/protocol/tests/multilevel.rs` extends the check to every level of
 three-level sessions (the paper's multi-level criterion); and
 `tests/scheduler_guarantees.rs` repeats it for sessions driven by the
-discrete-event simulator.
+discrete-event simulator, and holds every simulated SSI and 2PL run of
+the sweeps below to its backend's own serializability check.
 
 ```
 {exp_protocol_correct}
@@ -192,25 +193,55 @@ discrete-event simulator.
 fraction of the duration of a transaction", so long transactions impose
 long waits; timestamp alternatives abort long transactions, losing "large
 amounts of work done by users"; the proposed protocol avoids both.
-*Measured shape:* as think time (transaction duration) grows 1 → 200
-ticks, strict 2PL's total wait time grows by ~3 orders of magnitude and its
-max single wait tracks transaction length; basic T/O collapses (starves to
-0 commits at high durations, wasting millions of ticks of work); MVTO
-survives but still aborts long writers; the KS protocol commits everything
-with **zero waits and zero aborts** at every duration.
+*Measured shape:* the simulator drives the three certifiers the server
+runs (`ks_protocol::sim`, see `docs/certifiers.md`) through the same
+workload. As think time (transaction duration) grows 1 → 200 ticks,
+strict 2PL's total wait time grows by two orders of magnitude (718 →
+71,626 ticks) and its longest single wait from 81 to 5,492 ticks; SSI,
+standing in for the timestamp schemes, aborts more and wastes far more
+work (28 → 128 aborts, 241 → 74,573 wasted ticks) and its makespan
+balloons under restart backoff; the KS protocol (`cpc`) commits
+everything with **zero waits and zero aborts** at every duration. Every
+backend commits all 16 transactions at every point, and every run's
+history passes its backend's offline oracle.
+
+*Why these tables changed.* Earlier versions of this document measured a
+separate scheduler interface with its own copies of the comparators:
+strict 2PL, basic timestamp ordering (T/O), MVTO and predicate-wise 2PL.
+Those rows are gone. The `cpc` rows are numerically identical to the old
+`ks-protocol` rows. The `2pl` rows differ from the old `strict-2pl` rows
+because the old copy keyed waits-for edges by simulated transaction id: an
+edge to a holder that had aborted and restarted under the same id closed
+a cycle that did not exist, so the old rows counted phantom deadlocks
+(think 1: 64 waits, 41 aborts, 579 wasted ticks, where the certifier
+measures 76, 52 and 671 — an earlier phantom victim changes every later
+interleaving). T/O, MVTO and predicate-wise 2PL were dropped rather than
+ported: none is servable, and SSI — snapshot reads, aborts on commit —
+now carries the "timestamp schemes abort long transactions" claim with the
+same shape the T/O rows showed (23 → 121 aborts, 168 → 71,958 wasted
+ticks across the same sweep).
 
 ```
 {exp_long_txn}
 ```
 
-## coop-chains — cooperation chains under the four schedulers
+## coop-chains — cooperation chains under the three certifiers
 
 *Paper:* cooperating transactions (a designer picking up a colleague's
 in-flight work) are the motivating workload; the protocol expresses the
 cooperation as partial-order edges and repairs optimism with `re-eval`.
-*Measured:* with chains the protocol's internal repair machinery becomes
-visible (re-assigns, a few re-eval aborts) while remaining far cheaper than
-2PL's waits; classical schedulers cannot express the ordering at all.
+*Measured:* every backend receives the chain links as `after` edges and
+holds a successor's commit until its predecessor terminates. With chains
+the protocol's internal repair machinery becomes visible (re-assigns, a
+few re-eval aborts and cascades) while remaining far cheaper than 2PL's
+waits and SSI's aborts. 2PL counts a commit-order wait in its waits-for
+graph, so a predecessor blocked on its successor's locks is a deadlock
+victim; before that fix, the commit-order wait was invisible to the
+detector and 2PL livelocked at chain lengths 4 and 8. `cert_ab` counts
+the aborts each certifier initiated itself (CPC re-eval victims, SSI
+dangerous structures and first-committer-wins losers, 2PL deadlock
+victims); the remaining aborts are the engine's deadlock breaker and,
+for CPC, cascades.
 
 ```
 {exp_chains}
@@ -376,11 +407,12 @@ percentiles vary by machine.
 
 *Paper (Section 1):* the serializable class is also faulted for admitting
 non-recoverable and cascading schedules.
-*Measured:* strict 2PL's committed traces are always `ST`; the
-multiversion schedulers' flat traces are conservative lower bounds (a flat
-trace cannot express which *version* a read consumed), and the KS protocol
-deliberately forgoes `ACA`: reading in-flight versions is the cooperation
-feature, repaired by cascading undo.
+*Measured:* strict 2PL's committed traces are always `ST`, chain edges
+included; the multiversion certifiers' flat traces are conservative lower
+bounds (a flat trace cannot express which *version* a read consumed) —
+SSI only ever reads committed snapshots, so its traces come out `ST`
+too — and the KS protocol deliberately forgoes `ACA`: reading in-flight
+versions is the cooperation feature, repaired by cascading undo.
 
 ```
 {exp_recovery}
@@ -399,7 +431,7 @@ feature, repaired by cascading undo.
 | `bench_cpc` | CPC scales polynomially to 1024-op schedules |
 | `bench_version_assignment` | solver strategies × versions-per-entity, with and without constraint propagation (`ablate-assign`) |
 | `bench_membership` | recognizer costs vs transaction count, including the polygraph VSR decider |
-| `bench_protocols` | end-to-end scheduler overhead at two think times |
+| `bench_protocols` | end-to-end simulator cost of each certifier backend at two think times |
 | `bench_mvstore` | version-store primitive costs |
 | `bench_server` | serving-layer scaling: the same closed-loop workload at 1 vs 4 shards |
 """

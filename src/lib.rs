@@ -16,13 +16,12 @@
 //!   implementations, executions `(R, X)`, parent-based executions, and the
 //!   correctness checker (Section 3);
 //! * [`mvstore`] — the multi-version storage substrate;
-//! * [`sim`] — the discrete-event simulator and workload generator for
-//!   long-duration transactions;
-//! * [`baselines`] — strict 2PL, timestamp ordering, and multiversion
-//!   timestamp ordering comparators;
+//! * [`sim`] — workloads, metrics and traces for simulating long-duration
+//!   transactions;
 //! * [`protocol`] — the paper's Section 5 correct-execution protocol with
 //!   the `R_v`/`R`/`W` lock table (Figure 3) and `re-eval` procedure
-//!   (Figure 4);
+//!   (Figure 4), the SSI and strict-2PL certifiers it is compared with,
+//!   and the discrete-event engine that runs any of them on a workload;
 //! * [`server`] — the concurrent multi-session transaction service:
 //!   entity-sharded worker threads, blocking sessions, admission control,
 //!   and post-run model-checked verification;
@@ -36,7 +35,6 @@
 
 #![forbid(unsafe_code)]
 
-pub use ks_baselines as baselines;
 pub use ks_core as model;
 pub use ks_kernel as kernel;
 pub use ks_mvstore as mvstore;
@@ -65,6 +63,7 @@ pub mod prelude {
     };
     pub use ks_net::{NetClientConfig, NetConfig, NetServer, RemoteSession};
     pub use ks_predicate::{parse_cnf, solve, Atom, Clause, CmpOp, Cnf, Object, Strategy};
+    pub use ks_protocol::sim::{simulate, Engine};
     pub use ks_protocol::{
         CommitOutcome, ProtocolManager, ReadOutcome, RecordingManager, SessionLog,
         ValidationOutcome,
@@ -73,5 +72,5 @@ pub mod prelude {
     pub use ks_server::{
         Client, ServerConfig, ServerError, Session, TxnBuilder, TxnHandle, TxnService,
     };
-    pub use ks_sim::{Engine, EngineConfig, Metrics, Workload, WorkloadSpec};
+    pub use ks_sim::{Metrics, Workload, WorkloadSpec};
 }

@@ -1,11 +1,12 @@
-//! Scheduler soundness across crates: what each engine guarantees about
-//! the interleavings it commits, checked with the classifier suite.
+//! Scheduler soundness across crates: what each certifier guarantees
+//! about the interleavings it commits under the simulator, checked with
+//! the classifier suite and with the certifier's own offline oracle.
 
-use ks_baselines::{MultiversionTimestampOrdering, TimestampOrdering, TwoPhaseLocking};
-use ks_protocol::KsProtocolAdapter;
-use ks_schedule::{csr, mvsr, Op, Schedule, TxnId};
+use ks_protocol::sim::simulate;
+use ks_protocol::Backend;
+use ks_schedule::{csr, Op, Schedule, TxnId};
 use ks_sim::trace::committed_ops;
-use ks_sim::{Engine, EngineConfig, TraceKind, Workload, WorkloadSpec};
+use ks_sim::{TraceKind, Workload, WorkloadSpec};
 
 fn spec(seed: u64, txns: usize, think: u64) -> WorkloadSpec {
     WorkloadSpec {
@@ -39,38 +40,36 @@ fn trace_to_schedule(trace: &[ks_sim::TraceEvent]) -> Schedule {
 fn strict_2pl_commits_only_conflict_serializable_interleavings() {
     for seed in 0..10 {
         let w = Workload::generate(spec(seed, 5, 3));
-        let (m, trace, _) = Engine::new(&w, TwoPhaseLocking::new(), EngineConfig::default()).run();
+        let (m, trace, _) = simulate(Backend::TwoPl, &w);
         assert_eq!(m.committed, 5, "seed {seed}");
         let s = trace_to_schedule(&trace);
         assert!(csr::is_csr(&s), "seed {seed}: {s}");
     }
 }
 
+/// The experiments' own sweeps (`exp_long_txn`, `exp_chains`): on every
+/// backend, the engine and the certifier's ledger agree on what
+/// committed, everything commits, and the history passes the backend's
+/// offline oracle.
 #[test]
-fn timestamp_ordering_commits_only_conflict_serializable_interleavings() {
-    for seed in 0..10 {
-        let w = Workload::generate(spec(seed, 4, 2));
-        let (_, trace, _) =
-            Engine::new(&w, TimestampOrdering::new(), EngineConfig::default()).run();
-        let s = trace_to_schedule(&trace);
-        // Basic T/O also guarantees conflict serializability of what it
-        // lets through (in timestamp order).
-        assert!(csr::is_csr(&s), "seed {seed}: {s}");
-    }
-}
-
-#[test]
-fn mvto_commits_multiversion_serializable_interleavings() {
-    for seed in 0..10 {
-        let w = Workload::generate(spec(seed, 4, 2));
-        let (_, trace, _) = Engine::new(
-            &w,
-            MultiversionTimestampOrdering::new(),
-            EngineConfig::default(),
-        )
-        .run();
-        let s = trace_to_schedule(&trace);
-        assert!(mvsr::is_mvsr(&s), "seed {seed}: {s}");
+fn sweep_runs_match_each_certifiers_ledger() {
+    let sweeps = WorkloadSpec::duration_sweep()
+        .into_iter()
+        .map(|(think, spec)| (format!("think {think}"), spec))
+        .chain(
+            WorkloadSpec::chain_sweep()
+                .into_iter()
+                .map(|(chain, spec)| (format!("chain {chain}"), spec)),
+        );
+    for (point, spec) in sweeps {
+        let w = Workload::generate(spec);
+        for backend in Backend::all() {
+            let (m, _, certifier) = simulate(backend, &w);
+            let verdict = certifier.verify_history();
+            assert!(verdict.is_correct(), "{backend} {point}: {verdict:?}");
+            assert_eq!(m.committed, verdict.committed, "{backend} {point}");
+            assert_eq!(m.committed, w.txns.len(), "{backend} {point}");
+        }
     }
 }
 
@@ -78,12 +77,11 @@ fn mvto_commits_multiversion_serializable_interleavings() {
 fn ks_protocol_commits_everything_on_contended_long_workloads() {
     for seed in 0..6 {
         let w = Workload::generate(spec(seed, 6, 40));
-        let adapter = KsProtocolAdapter::for_workload(&w);
-        let (m, _, adapter) = Engine::new(&w, adapter, EngineConfig::default()).run();
+        let (m, _, certifier) = simulate(Backend::Cpc, &w);
         assert_eq!(m.committed, 6, "seed {seed}");
         assert_eq!(m.waits, 0, "seed {seed}");
         assert_eq!(m.aborts, 0, "seed {seed}");
-        let stats = adapter.protocol_stats();
+        let stats = certifier.stats();
         assert_eq!(stats.validations, 6);
         assert_eq!(stats.reeval_aborts, 0);
     }
@@ -96,8 +94,7 @@ fn ks_protocol_interleavings_need_not_be_serializable() {
     let mut found_non_csr = false;
     for seed in 0..40 {
         let w = Workload::generate(spec(seed, 6, 10));
-        let adapter = KsProtocolAdapter::for_workload(&w);
-        let (_, trace, _) = Engine::new(&w, adapter, EngineConfig::default()).run();
+        let (_, trace, _) = simulate(Backend::Cpc, &w);
         let s = trace_to_schedule(&trace);
         if !csr::is_csr(&s) {
             found_non_csr = true;
@@ -113,29 +110,32 @@ fn ks_protocol_interleavings_need_not_be_serializable() {
 #[test]
 fn engine_metrics_consistent_across_schedulers() {
     let w = Workload::generate(spec(3, 5, 5));
-    for (metrics, _, name) in [
-        {
-            let (m, t, _) = Engine::new(&w, TwoPhaseLocking::new(), EngineConfig::default()).run();
-            (m, t, "2pl")
-        },
-        {
-            let (m, t, _) =
-                Engine::new(&w, TimestampOrdering::new(), EngineConfig::default()).run();
-            (m, t, "to")
-        },
-    ] {
-        assert!(metrics.committed <= w.txns.len(), "{name}");
-        assert!(metrics.makespan > 0, "{name}");
+    for backend in Backend::all() {
+        let (metrics, trace, certifier) = simulate(backend, &w);
+        assert_eq!(metrics.scheduler, backend.name());
+        assert!(metrics.committed <= w.txns.len(), "{backend}");
+        assert!(metrics.makespan > 0, "{backend}");
         assert!(
             metrics.total_latency >= metrics.makespan - w.spec.arrival_spread,
-            "{name}"
+            "{backend}"
+        );
+        let aborts = trace.iter().filter(|e| e.kind == TraceKind::Abort).count();
+        assert_eq!(metrics.aborts, aborts as u64, "{backend}");
+        assert!(
+            metrics.certifier_aborts <= metrics.aborts,
+            "{backend}: certifier-initiated aborts are a subset"
+        );
+        assert_eq!(
+            metrics.certifier_aborts,
+            certifier.stats().reeval_aborts,
+            "{backend}"
         );
     }
 }
 
-/// Theorem 2 through the simulator: whatever the KS adapter commits under
-/// the event-driven engine forms a correct, parent-based execution of the
-/// formal model — including under cooperation chains.
+/// Theorem 2 through the simulator: whatever the KS protocol commits
+/// under the event-driven engine forms a correct, parent-based execution
+/// of the formal model — including under cooperation chains.
 #[test]
 fn ks_protocol_sim_runs_are_model_correct() {
     for (seed, chain) in [(0u64, 1usize), (1, 2), (2, 4)] {
@@ -143,9 +143,8 @@ fn ks_protocol_sim_runs_are_model_correct() {
             chain_length: chain,
             ..spec(seed, 8, 8)
         });
-        let adapter = KsProtocolAdapter::for_workload(&w);
-        let (_, _, adapter) = Engine::new(&w, adapter, EngineConfig::default()).run();
-        let pm = adapter.manager();
+        let (_, _, certifier) = simulate(Backend::Cpc, &w);
+        let pm = certifier.as_cpc().expect("cpc backend");
         let (txn, parent, exec) = ks_protocol::extract::model_execution(pm, pm.root()).unwrap();
         let schema = pm.schema().clone();
         let report = ks_core::check::check(&schema, &txn, &parent, &exec);
