@@ -21,8 +21,11 @@
 //! Expected physics: CPC commits the long transaction every round
 //! (abort rate ≈ 0); SSI kills it at commit (first-committer-wins —
 //! a short writer always beat it to the hot entity) or earlier via
-//! dangerous-structure detection; 2PL lets it commit but collapses
-//! short-txn throughput while the long reader holds its shared locks.
+//! dangerous-structure detection; 2PL aborts it too — its final write
+//! upgrades a shared lock to exclusive while short writers hold shared
+//! locks on the same entity waiting for their own upgrade, so the
+//! waits-for detector makes it the deadlock victim — and short-txn
+//! throughput collapses under the same upgrade deadlocks.
 //! The machine-readable gate asserts the headline number: SSI's
 //! long-txn abort rate exceeds CPC's by a wide margin.
 //!
@@ -176,53 +179,29 @@ fn run_short(
             Err(_) => return,
         };
         let mut budget = SHORT_RETRY_BUDGET;
-        let mut step = |r: Result<(), ServerError>| -> Result<bool, ServerError> {
-            // Ok(true) = proceed, Ok(false) = budget exhausted.
-            match r {
-                Ok(()) => Ok(true),
+        // Retry one call through Busy/Backpressure: Ok(true) once it
+        // succeeds, Ok(false) once the budget is spent or the run stops.
+        let mut call = |op: &mut dyn FnMut() -> Result<(), ServerError>| loop {
+            match op() {
+                Ok(()) => return Ok(true),
                 Err(ServerError::Busy | ServerError::Backpressure) => {
                     if budget == 0 || stop.load(Ordering::Relaxed) {
                         return Ok(false);
                     }
                     budget -= 1;
                     std::thread::yield_now();
-                    Ok(true)
                 }
-                Err(e) => Err(e),
+                Err(e) => return Err(e),
             }
         };
         let outcome = (|| -> Result<bool, ServerError> {
-            loop {
-                match step(session.validate(txn))? {
-                    true => break,
-                    false => return Ok(false),
-                }
-            }
-            loop {
-                match step(session.read(txn, EntityId(hot)).map(|_| ()))? {
-                    true => break,
-                    false => return Ok(false),
-                }
-            }
-            loop {
-                match step(session.write(txn, EntityId(cold), round as i64))? {
-                    true => break,
-                    false => return Ok(false),
-                }
-            }
-            loop {
-                match step(session.write(txn, EntityId(hot), (client * 10_000 + round) as i64))? {
-                    true => break,
-                    false => return Ok(false),
-                }
-            }
-            loop {
-                match step(session.commit(txn))? {
-                    true => break,
-                    false => return Ok(false),
-                }
-            }
-            Ok(true)
+            Ok(call(&mut || session.validate(txn))?
+                && call(&mut || session.read(txn, EntityId(hot)).map(|_| ()))?
+                && call(&mut || session.write(txn, EntityId(cold), round as i64))?
+                && call(&mut || {
+                    session.write(txn, EntityId(hot), (client * 10_000 + round) as i64)
+                })?
+                && call(&mut || session.commit(txn))?)
         })();
         match outcome {
             Ok(true) => {
@@ -540,6 +519,7 @@ fn main() {
     }
     println!("\nexpected shape: CPC commits the long transaction every round");
     println!("(reads pinned to assigned versions); SSI kills it at commit");
-    println!("(first-committer-wins / dangerous structures); 2PL commits it");
-    println!("but stalls the short writers on its read locks.");
+    println!("(first-committer-wins / dangerous structures); 2PL picks it as");
+    println!("the deadlock victim of its shared-to-exclusive upgrade, and the");
+    println!("short writers deadlock among themselves on the same upgrades.");
 }

@@ -34,7 +34,8 @@
 use ks_core::Specification;
 use ks_kernel::{Domain, EntityId, Schema, UniqueState};
 use ks_obs::{
-    event_to_json, stitch_traces, ObsEvent, ObsKind, Recorder, SloSpec, TraceTree, WindowSnapshot,
+    event_to_json, stitch_traces, Log2Histogram, ObsEvent, ObsKind, Recorder, SloSpec, TraceTree,
+    WindowSnapshot,
 };
 use ks_predicate::{Atom, Clause, CmpOp, Cnf, Strategy};
 use ks_server::metrics::fmt_duration;
@@ -204,19 +205,6 @@ fn is_decision(kind: &ObsKind) -> bool {
     )
 }
 
-/// Group-commit size histogram buckets: 1, 2, 3–4, 5–8, 9+.
-const GROUP_BUCKETS: [&str; 5] = ["1", "2", "3-4", "5-8", "9+"];
-
-fn group_bucket(n: u32) -> usize {
-    match n {
-        0 | 1 => 0,
-        2 => 1,
-        3..=4 => 2,
-        5..=8 => 3,
-        _ => 4,
-    }
-}
-
 struct FrameState {
     last: Instant,
     last_committed: u64,
@@ -226,8 +214,8 @@ struct FrameState {
     /// into the accumulating panels.
     seen_ts: u64,
     recent: Vec<ObsEvent>,
-    /// Group-commit batch sizes seen so far, bucketed.
-    group_hist: [u64; GROUP_BUCKETS.len()],
+    /// Group-commit batch sizes seen so far, by octave.
+    group_hist: Log2Histogram,
     /// Total group-commit flushes and commits they covered (for the
     /// running mean batch size).
     group_flushes: u64,
@@ -296,7 +284,7 @@ fn render(
         }
         newest = newest.max(ev.ts);
         if let ObsKind::GroupCommit { n } = ev.kind {
-            state.group_hist[group_bucket(n)] += 1;
+            state.group_hist.record(u64::from(n));
             state.group_flushes += 1;
             state.group_commits += u64::from(n);
         }
@@ -432,10 +420,14 @@ fn render(
             wal.records, wal.bytes, wal.syncs, wal.pending_records
         );
         let mean = state.group_commits as f64 / state.group_flushes.max(1) as f64;
-        let hist = GROUP_BUCKETS
-            .iter()
-            .zip(state.group_hist)
-            .map(|(label, n)| format!("{label}:{n}"))
+        // One column per non-empty octave: `1`, `2-3`, `4-7`, `8-15`, ...
+        let hist = state
+            .group_hist
+            .nonzero()
+            .map(|(i, n)| match 1u64 << i {
+                1 => format!("1:{n}"),
+                lo => format!("{lo}-{}:{n}", lo + (lo - 1)),
+            })
             .collect::<Vec<_>>()
             .join("  ");
         println!("group sizes: {hist}   (mean {mean:.1}/flush)");
@@ -517,7 +509,7 @@ fn main() {
             last_events: 0,
             seen_ts: 0,
             recent: Vec::new(),
-            group_hist: [0; GROUP_BUCKETS.len()],
+            group_hist: Log2Histogram::default(),
             group_flushes: 0,
             group_commits: 0,
             spans: Vec::new(),

@@ -155,12 +155,9 @@ pub fn drive_txn<C: Client>(
                 }
             })
             .collect();
-        let result = retry!(session.run_batch(txn, &burst).and_then(|replies| {
-            replies
-                .into_iter()
-                .map(|r| r.map(drop))
-                .collect::<Result<(), _>>()
-        }));
+        let result = retry!(session
+            .run_batch(txn, &burst)
+            .and_then(|replies| { replies.into_iter().try_for_each(|r| r.map(drop)) }));
         if result.is_err() {
             return finish_abort(out);
         }

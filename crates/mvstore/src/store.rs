@@ -104,8 +104,10 @@ impl MvStore {
         if !self.schema.domain(entity).contains(value) {
             return Err(StoreError::DomainViolation { entity, value });
         }
-        let stamp = self.next_stamp.fetch_add(1, Ordering::Relaxed);
         let mut chain = self.chain(entity)?.write();
+        // Stamp under the chain lock, so a chain's stamps ascend in append
+        // order even when two writers race on one entity.
+        let stamp = self.next_stamp.fetch_add(1, Ordering::Relaxed);
         let id = VersionId {
             entity,
             index: chain.len() as u32,

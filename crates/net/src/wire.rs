@@ -34,7 +34,7 @@
 
 use ks_core::Specification;
 use ks_kernel::{EntityId, Value};
-use ks_obs::{ObsEvent, TelemetryDelta, WindowSnapshot, LATENCY_BUCKETS};
+use ks_obs::{ObsEvent, TelemetryDelta, WindowSnapshot};
 use ks_predicate::{Atom, Clause, CmpOp, Cnf, Operand, Strategy};
 use ks_server::{Backend, BatchOp, BatchReply, ServerError};
 use std::io::{Read, Write};
@@ -345,13 +345,10 @@ impl Enc<'_> {
         self.u64(w.queue_depth);
         self.u64(w.flush_groups);
         self.u64(w.flush_commits);
-        let filled = w.latency.iter().filter(|&&n| n != 0).count();
-        self.u8(filled as u8);
-        for (i, &n) in w.latency.iter().enumerate() {
-            if n != 0 {
-                self.u8(i as u8);
-                self.u64(n);
-            }
+        self.u8(w.latency.nonzero().count() as u8);
+        for (i, n) in w.latency.nonzero() {
+            self.u8(i as u8);
+            self.u64(n);
         }
     }
 }
@@ -734,7 +731,7 @@ impl<'a> Dec<'a> {
 
     /// One telemetry window (see [`Enc::window`]). The sparse histogram
     /// is bounded by construction: the entry count is a `u8` and every
-    /// index must name one of the [`LATENCY_BUCKETS`] buckets.
+    /// index must name one of the [`ks_obs::LOG2_BUCKETS`] buckets.
     fn window(&mut self, what: &str) -> Result<WindowSnapshot, WireError> {
         let mut w = WindowSnapshot::empty(self.u64(what)?);
         w.requests = self.u64(what)?;
@@ -746,13 +743,10 @@ impl<'a> Dec<'a> {
         let filled = self.u8(what)? as usize;
         for _ in 0..filled {
             let idx = self.u8(what)? as usize;
-            if idx >= LATENCY_BUCKETS {
-                return Err(WireError(format!(
-                    "{what}: latency bucket {idx} out of range"
-                )));
-            }
             let n = self.u64(what)?;
-            w.latency[idx] = w.latency[idx].wrapping_add(n);
+            w.latency
+                .add(idx, n)
+                .map_err(|idx| WireError(format!("{what}: latency bucket {idx} out of range")))?;
         }
         Ok(w)
     }
@@ -1205,6 +1199,7 @@ impl<R: Read> FrameReader<R> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ks_obs::LOG2_BUCKETS;
     use ks_predicate::Cnf;
 
     #[test]
@@ -1394,9 +1389,9 @@ mod tests {
         w.queue_depth = 7;
         w.flush_groups = 5;
         w.flush_commits = 28;
-        w.latency[0] = 3;
-        w.latency[17] = 100;
-        w.latency[LATENCY_BUCKETS - 1] = 17;
+        w.latency.add(0, 3).unwrap();
+        w.latency.add(17, 100).unwrap();
+        w.latency.add(LOG2_BUCKETS - 1, 17).unwrap();
         let req = Request::Telemetry { since: 41 };
         let buf = encode_request(3, 0, &req);
         assert_eq!(decode_request(&buf).unwrap(), (3, 0, req));
@@ -1415,7 +1410,7 @@ mod tests {
     #[test]
     fn telemetry_window_with_out_of_range_bucket_fails_closed() {
         let mut w = WindowSnapshot::empty(1);
-        w.latency[0] = 9;
+        w.latency.add(0, 9).unwrap();
         let resp = Response::Telemetry {
             backend: Backend::Cpc,
             delta: TelemetryDelta {
@@ -1426,10 +1421,10 @@ mod tests {
         };
         let mut buf = encode_response(0, 0, &resp);
         // The single sparse entry's index byte sits right after the 7
-        // u64 window fields; corrupt it past LATENCY_BUCKETS.
+        // u64 window fields; corrupt it past LOG2_BUCKETS.
         let idx_pos = buf.len() - 9;
         assert_eq!(buf[idx_pos], 0);
-        buf[idx_pos] = LATENCY_BUCKETS as u8;
+        buf[idx_pos] = LOG2_BUCKETS as u8;
         let err = decode_response(&buf).unwrap_err();
         assert!(err.0.contains("out of range"), "{err}");
     }

@@ -30,6 +30,9 @@
 //!   handler, shard queue, worker execute, certifier decision, WAL group
 //!   commit) stitch into end-to-end [`trace::TraceTree`]s with per-hop
 //!   latency attribution.
+//! * [`hist`] — the one log₂ histogram ([`Log2Histogram`], lock-free
+//!   [`AtomicLog2Histogram`]) and its quantile rule, shared by server
+//!   metrics, telemetry windows, the wire and `ks-top`.
 //! * [`telemetry`] — time-series SLO telemetry: windowed latency
 //!   histograms, throughput/abort-rate/queue-depth/flush-group series,
 //!   incremental [`telemetry::TelemetryDelta`] export, and the
@@ -44,6 +47,7 @@
 #![warn(missing_docs)]
 
 pub mod event;
+pub mod hist;
 pub mod json;
 pub mod ring;
 pub mod telemetry;
@@ -51,11 +55,11 @@ pub mod timeline;
 pub mod trace;
 
 pub use event::{ObsEvent, ObsKind, OpCode, SpanHop, NO_TXN};
+pub use hist::{AtomicLog2Histogram, Log2Histogram, LOG2_BUCKETS};
 pub use json::{event_from_json, event_to_json, from_jsonl, to_jsonl, JsonError};
 pub use ring::{ObsSink, Recorder, Ring};
 pub use telemetry::{
     SloBreach, SloQuantile, SloSpec, TelemetryDelta, TelemetrySeries, WindowSnapshot,
-    LATENCY_BUCKETS,
 };
 pub use timeline::{stitch, TxnTimeline};
 pub use trace::{derive_trace_id, stitch_traces, trace_sampled, HopLatency, TraceSpan, TraceTree};

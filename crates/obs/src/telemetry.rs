@@ -3,7 +3,7 @@
 //! End-of-run aggregates hide exactly what matters under sustained load —
 //! a ten-second p99 spike disappears into a five-minute average. A
 //! [`TelemetrySeries`] keeps a bounded ring of fixed-width time windows
-//! (1 second by default), each holding a log₂ latency histogram plus
+//! (1 second by default), each holding a [`Log2Histogram`] of latencies plus
 //! request/commit/abort counters, the deepest shard queue observed, and
 //! WAL flush-group sizes. Closed windows are immutable and exported
 //! incrementally: [`TelemetrySeries::delta`] returns every closed window
@@ -17,36 +17,16 @@
 //! only [`WindowSnapshot`]s, a breach is detectable from pulled deltas
 //! without touching the serving process.
 
+use crate::hist::Log2Histogram;
 use std::collections::VecDeque;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
-
-/// Log₂ latency buckets per window (bucket `i` holds `[2^i, 2^(i+1))`
-/// nanoseconds, except bucket 63 which absorbs the tail).
-pub const LATENCY_BUCKETS: usize = 64;
 
 /// Default window width.
 pub const DEFAULT_WINDOW: Duration = Duration::from_secs(1);
 
 /// Closed windows retained for pullers that fall behind.
 pub const DEFAULT_RETAIN: usize = 128;
-
-fn bucket(ns: u64) -> usize {
-    if ns == 0 {
-        0
-    } else {
-        (63 - ns.leading_zeros() as usize).min(LATENCY_BUCKETS - 1)
-    }
-}
-
-/// The upper edge of a bucket — the value a quantile reports.
-fn bucket_edge(i: usize) -> u64 {
-    if i >= LATENCY_BUCKETS - 1 {
-        u64::MAX
-    } else {
-        (1u64 << (i + 1)) - 1
-    }
-}
 
 /// One closed (or still-filling) telemetry window.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -68,8 +48,8 @@ pub struct WindowSnapshot {
     /// Commits those flushes covered (mean group size =
     /// `flush_commits / flush_groups`).
     pub flush_commits: u64,
-    /// Request-latency histogram (log₂ buckets).
-    pub latency: [u64; LATENCY_BUCKETS],
+    /// Request-latency histogram, nanoseconds.
+    pub latency: Log2Histogram,
 }
 
 impl WindowSnapshot {
@@ -83,7 +63,7 @@ impl WindowSnapshot {
             queue_depth: 0,
             flush_groups: 0,
             flush_commits: 0,
-            latency: [0; LATENCY_BUCKETS],
+            latency: Log2Histogram::default(),
         }
     }
 
@@ -97,27 +77,14 @@ impl WindowSnapshot {
         self.queue_depth = self.queue_depth.max(other.queue_depth);
         self.flush_groups += other.flush_groups;
         self.flush_commits += other.flush_commits;
-        for (a, b) in self.latency.iter_mut().zip(other.latency) {
-            *a += b;
-        }
+        self.latency.merge(&other.latency);
     }
 
-    /// The latency at or below which fraction `q` of requests completed
-    /// (upper bucket edge); `None` when the window saw no requests.
+    /// The latency below which fraction `q` of requests completed, by
+    /// [`Log2Histogram::quantile`]'s rule; `None` when the window saw no
+    /// requests.
     pub fn quantile_ns(&self, q: f64) -> Option<u64> {
-        let total: u64 = self.latency.iter().sum();
-        if total == 0 {
-            return None;
-        }
-        let rank = ((total as f64) * q.clamp(0.0, 1.0)).ceil().max(1.0) as u64;
-        let mut seen = 0u64;
-        for (i, &n) in self.latency.iter().enumerate() {
-            seen += n;
-            if seen >= rank {
-                return Some(bucket_edge(i));
-            }
-        }
-        Some(bucket_edge(LATENCY_BUCKETS - 1))
+        self.latency.quantile(q)
     }
 
     /// Median latency.
@@ -260,7 +227,7 @@ impl TelemetrySeries {
         self.roll(&mut inner, now);
         let w = &mut inner.current;
         w.requests += 1;
-        w.latency[bucket(latency_ns)] += 1;
+        w.latency.record(latency_ns);
         w.committed += u64::from(committed);
         w.aborted += u64::from(aborted);
         w.queue_depth = w.queue_depth.max(queue_depth);
@@ -462,7 +429,7 @@ mod tests {
         let mut w = WindowSnapshot::empty(seq);
         for &ns in latencies_ns {
             w.requests += 1;
-            w.latency[bucket(ns)] += 1;
+            w.latency.record(ns);
             w.committed += 1;
         }
         w
@@ -475,6 +442,40 @@ mod tests {
         assert!(w.p50_ns().unwrap() < 256);
         assert!(w.p999_ns().unwrap() >= 100_000);
         assert_eq!(WindowSnapshot::empty(0).p99_ns(), None);
+    }
+
+    /// One sample set gives the same p50/p99/p999 from the server's
+    /// atomic histogram, a plain histogram and the telemetry windows the
+    /// series exports (merged, as an SLO check merges them).
+    #[test]
+    fn window_quantiles_match_the_shared_histograms() {
+        use crate::hist::AtomicLog2Histogram;
+        let samples: Vec<u64> = (0..1_000u64).map(|k| (k * k * 37) % 3_000_000).collect();
+        let atomic = AtomicLog2Histogram::default();
+        let mut plain = Log2Histogram::default();
+        let series = TelemetrySeries::new(Duration::from_millis(1), 1024);
+        for &ns in &samples {
+            atomic.record(ns);
+            plain.record(ns);
+            series.record_request(ns, true, false, 0);
+        }
+        std::thread::sleep(Duration::from_millis(3));
+        let windows = series.delta(0).windows;
+        let mut merged = windows[0].clone();
+        for w in &windows[1..] {
+            merged.merge(w);
+        }
+        assert_eq!(merged.requests, samples.len() as u64);
+        let atomic = atomic.snapshot();
+        for q in [0.50, 0.99, 0.999] {
+            let p = plain.quantile(q);
+            assert!(p.is_some());
+            assert_eq!(atomic.quantile(q), p, "q={q}");
+            assert_eq!(merged.quantile_ns(q), p, "q={q}");
+        }
+        assert_eq!(merged.p50_ns(), plain.quantile(0.50));
+        assert_eq!(merged.p99_ns(), plain.quantile(0.99));
+        assert_eq!(merged.p999_ns(), plain.quantile(0.999));
     }
 
     #[test]

@@ -63,7 +63,7 @@ pub use config::{ConfigError, ServerConfig, ServerConfigBuilder};
 pub use durability::{Durability, RecoveryReport, StoreFactory, WalOptions};
 pub use error::ServerError;
 pub use ks_protocol::{Backend, Certifier};
-pub use metrics::{LatencyHistogram, MetricsSnapshot, ServerMetrics};
+pub use metrics::{MetricsSnapshot, ServerMetrics};
 pub use routing::ShardMap;
 pub use service::TxnService;
 pub use session::{Session, TxnHandle};
@@ -478,7 +478,10 @@ mod tests {
         // the drained rings must stitch into one well-formed tree per
         // call, rooted at the client Request span, with the worker's
         // Queue/Exec (and Certify, for validate/commit) hops inside.
-        let recorder = ks_obs::Recorder::new(1 << 12);
+        // Hundreds of calls, so a worker span that ends after the client
+        // already has its reply would show up as a malformed tree.
+        const LIFECYCLES: usize = 60;
+        let recorder = ks_obs::Recorder::new(1 << 15);
         let schema = schema(8);
         let initial = UniqueState::constant(8, 0);
         let config = ServerConfig::builder()
@@ -489,14 +492,22 @@ mod tests {
             .unwrap();
         let svc = TxnService::new(schema, &initial, config);
         let session = svc.session().unwrap();
-        full_lifecycle_over(&session);
+        for round in 0..LIFECYCLES {
+            // open + validate + read + write + read + commit = 6 calls.
+            let spec = tautology_spec(&[EntityId(1), EntityId(5)]);
+            let txn = session.open(TxnBuilder::new(spec)).unwrap();
+            session.validate(txn).unwrap();
+            session.read(txn, EntityId(1)).unwrap();
+            session.write(txn, EntityId(5), round as i64).unwrap();
+            session.read(txn, EntityId(5)).unwrap();
+            session.commit(txn).unwrap();
+        }
         drop(session);
         assert!(verify_certifiers(&svc.shutdown()).is_correct());
 
         let events = recorder.drain();
         let trees = ks_obs::stitch_traces(&events);
-        // open + validate + read + write + read + commit = 6 calls.
-        assert_eq!(trees.len(), 6, "one trace per session call");
+        assert_eq!(trees.len(), 6 * LIFECYCLES, "one trace per session call");
         for tree in &trees {
             assert!(tree.is_well_formed(), "{}", tree.render());
             assert_eq!(tree.root().unwrap().hop, ks_obs::SpanHop::Request);
@@ -514,7 +525,11 @@ mod tests {
             .iter()
             .filter_map(|t| t.spans.iter().find(|s| s.hop == ks_obs::SpanHop::Certify))
             .collect();
-        assert_eq!(certified.len(), 2, "validate + commit decisions");
+        assert_eq!(
+            certified.len(),
+            2 * LIFECYCLES,
+            "validate + commit decisions"
+        );
         assert!(certified.iter().all(|s| s.ok == Some(true)));
     }
 

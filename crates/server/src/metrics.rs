@@ -1,89 +1,22 @@
 //! Live service counters and latency distributions.
 //!
-//! All counters are lock-free atomics updated on the request path. Latency
-//! distributions are fixed power-of-two-bucket histograms (64 buckets,
-//! bucket `i` covering `[2^i, 2^(i+1))` ns) so quantiles come from a
-//! single pass with no allocation and bounded (≤ 2×) relative error.
+//! All counters are lock-free atomics updated on the request path.
+//! Latency distributions are ks-obs [`AtomicLog2Histogram`]s (64 log₂
+//! buckets, bucket `i` covering `[2^i, 2^(i+1))` ns), so recording is one
+//! relaxed `fetch_add` and quantiles come from a single pass with bounded
+//! (≤ 2×) relative error, by the same rule telemetry windows use.
 //! Round-trip latency is kept **per shard** (one histogram each), and the
 //! worker splits every request into its queue-wait and execute portions,
 //! so a slow shard or a queueing collapse is visible directly instead of
 //! being averaged away in one global distribution.
 
+use ks_obs::{AtomicLog2Histogram, Log2Histogram};
 use std::fmt;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::time::Duration;
 
-const BUCKETS: usize = 64;
-
-/// Lock-free histogram of request latencies.
-#[derive(Debug)]
-pub struct LatencyHistogram {
-    buckets: [AtomicU64; BUCKETS],
-}
-
-impl Default for LatencyHistogram {
-    fn default() -> Self {
-        LatencyHistogram {
-            buckets: std::array::from_fn(|_| AtomicU64::new(0)),
-        }
-    }
-}
-
-impl LatencyHistogram {
-    /// Record one latency observation.
-    pub fn record(&self, latency: Duration) {
-        let ns = latency.as_nanos().max(1) as u64;
-        let bucket = (63 - ns.leading_zeros() as usize).min(BUCKETS - 1);
-        self.buckets[bucket].fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Record a raw count observation (same log₂ bucketing, the unit is
-    /// just "items" instead of nanoseconds) — used for batch-size
-    /// distributions, where [`quantile`] then answers "how big is the
-    /// p99 batch".
-    pub fn record_n(&self, n: u64) {
-        let n = n.max(1);
-        let bucket = (63 - n.leading_zeros() as usize).min(BUCKETS - 1);
-        self.buckets[bucket].fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Snapshot the bucket counts.
-    pub fn counts(&self) -> [u64; BUCKETS] {
-        let mut out = [0u64; BUCKETS];
-        for (o, b) in out.iter_mut().zip(&self.buckets) {
-            *o = b.load(Ordering::Relaxed);
-        }
-        out
-    }
-}
-
-/// Quantile `q ∈ [0, 1]` of a bucket snapshot, as the upper edge of the
-/// bucket holding the q-th observation. `None` when empty. Only the last
-/// bucket (63), whose upper edge `2^64` is unrepresentable, saturates to
-/// `u64::MAX` ns.
-pub fn quantile(counts: &[u64; BUCKETS], q: f64) -> Option<Duration> {
-    let total: u64 = counts.iter().sum();
-    if total == 0 {
-        return None;
-    }
-    let rank = ((q * total as f64).ceil() as u64).clamp(1, total);
-    let mut seen = 0u64;
-    for (i, &c) in counts.iter().enumerate() {
-        seen += c;
-        if seen >= rank {
-            let upper_ns = if i + 1 >= BUCKETS {
-                u64::MAX
-            } else {
-                1u64 << (i + 1)
-            };
-            return Some(Duration::from_nanos(upper_ns));
-        }
-    }
-    None
-}
-
-fn quantiles_of(counts: &[u64; BUCKETS]) -> (Option<Duration>, Option<Duration>) {
-    (quantile(counts, 0.50), quantile(counts, 0.99))
+fn duration_at(h: &Log2Histogram, q: f64) -> Option<Duration> {
+    h.quantile(q).map(Duration::from_nanos)
 }
 
 /// Shared mutable counters; one instance per service, updated by sessions
@@ -110,15 +43,11 @@ pub struct ServerMetrics {
     pub re_assigns: AtomicU64,
     /// Transactions aborted by re-eval.
     pub reeval_aborts: AtomicU64,
-    /// Time requests spent queued (enqueue → worker dequeue).
-    pub queue_wait: LatencyHistogram,
-    /// Time the worker spent executing (dequeue → reply sent).
-    pub exec_time: LatencyHistogram,
-    /// Ops-per-`run_batch` distribution (count-valued, see
-    /// [`LatencyHistogram::record_n`]).
-    pub op_batch: LatencyHistogram,
-    /// Requests-drained-per-worker-wakeup distribution (count-valued).
-    pub drain_batch: LatencyHistogram,
+    /// Time requests spent queued (enqueue → worker dequeue), ns.
+    pub queue_wait: AtomicLog2Histogram,
+    /// Time the worker spent executing (dequeue → result ready, before
+    /// the reply and any WAL commit wait), ns.
+    pub exec_time: AtomicLog2Histogram,
     /// Windowed time-series telemetry (1 s latency-histogram windows,
     /// throughput/abort-rate/queue-depth/flush series) feeding
     /// incremental [`TelemetryDelta`](ks_obs::TelemetryDelta) exports
@@ -126,7 +55,7 @@ pub struct ServerMetrics {
     /// was p99 *over the last N seconds*", not just since startup.
     pub telemetry: ks_obs::TelemetrySeries,
     /// Request round-trip latencies (measured at the session), per shard.
-    shard_latency: Vec<LatencyHistogram>,
+    shard_latency: Vec<AtomicLog2Histogram>,
 }
 
 impl Default for ServerMetrics {
@@ -150,13 +79,11 @@ impl ServerMetrics {
             rejected: AtomicU64::new(0),
             re_assigns: AtomicU64::new(0),
             reeval_aborts: AtomicU64::new(0),
-            queue_wait: LatencyHistogram::default(),
-            exec_time: LatencyHistogram::default(),
-            op_batch: LatencyHistogram::default(),
-            drain_batch: LatencyHistogram::default(),
+            queue_wait: AtomicLog2Histogram::default(),
+            exec_time: AtomicLog2Histogram::default(),
             telemetry: ks_obs::TelemetrySeries::default(),
             shard_latency: (0..shards.max(1))
-                .map(|_| LatencyHistogram::default())
+                .map(|_| AtomicLog2Histogram::default())
                 .collect(),
         }
     }
@@ -170,32 +97,26 @@ impl ServerMetrics {
     /// (out-of-range shards land in the last one).
     pub fn record_latency(&self, shard: usize, latency: Duration) {
         let i = shard.min(self.shard_latency.len() - 1);
-        self.shard_latency[i].record(latency);
+        self.shard_latency[i].record(latency.as_nanos() as u64);
     }
 
     /// The per-shard round-trip histograms.
-    pub fn shard_latency(&self) -> &[LatencyHistogram] {
+    pub fn shard_latency(&self) -> &[AtomicLog2Histogram] {
         &self.shard_latency
     }
 
     /// Materialize a consistent-enough view for reporting.
     pub fn snapshot(&self, queue_depths: Vec<usize>) -> MetricsSnapshot {
         // Aggregate counts across shards for the headline quantiles.
-        let mut total = [0u64; BUCKETS];
+        let mut total = Log2Histogram::default();
         let mut shard_p50 = Vec::with_capacity(self.shard_latency.len());
         let mut shard_p99 = Vec::with_capacity(self.shard_latency.len());
         for h in &self.shard_latency {
-            let counts = h.counts();
-            for (t, c) in total.iter_mut().zip(&counts) {
-                *t += c;
-            }
-            let (p50, p99) = quantiles_of(&counts);
-            shard_p50.push(p50);
-            shard_p99.push(p99);
+            let h = h.snapshot();
+            shard_p50.push(duration_at(&h, 0.50));
+            shard_p99.push(duration_at(&h, 0.99));
+            total.merge(&h);
         }
-        let (p50, p99) = quantiles_of(&total);
-        let (queue_wait_p50, queue_wait_p99) = quantiles_of(&self.queue_wait.counts());
-        let (exec_p50, exec_p99) = quantiles_of(&self.exec_time.counts());
         MetricsSnapshot {
             sessions_in_flight: self.sessions_in_flight.load(Ordering::Relaxed),
             sessions_admitted: self.sessions_admitted.load(Ordering::Relaxed),
@@ -207,14 +128,12 @@ impl ServerMetrics {
             rejected: self.rejected.load(Ordering::Relaxed),
             re_assigns: self.re_assigns.load(Ordering::Relaxed),
             reeval_aborts: self.reeval_aborts.load(Ordering::Relaxed),
-            p50,
-            p99,
+            p50: duration_at(&total, 0.50),
+            p99: duration_at(&total, 0.99),
             shard_p50,
             shard_p99,
-            queue_wait_p50,
-            queue_wait_p99,
-            exec_p50,
-            exec_p99,
+            queue_wait_p99: duration_at(&self.queue_wait.snapshot(), 0.99),
+            exec_p99: duration_at(&self.exec_time.snapshot(), 0.99),
             queue_depths,
         }
     }
@@ -251,13 +170,9 @@ pub struct MetricsSnapshot {
     pub shard_p50: Vec<Option<Duration>>,
     /// 99th-percentile round-trip latency per shard.
     pub shard_p99: Vec<Option<Duration>>,
-    /// Median queue wait (enqueue → dequeue).
-    pub queue_wait_p50: Option<Duration>,
-    /// 99th-percentile queue wait.
+    /// 99th-percentile queue wait (enqueue → dequeue).
     pub queue_wait_p99: Option<Duration>,
-    /// Median execute time (dequeue → reply).
-    pub exec_p50: Option<Duration>,
-    /// 99th-percentile execute time.
+    /// 99th-percentile execute time (dequeue → result ready).
     pub exec_p99: Option<Duration>,
     /// Per-shard request-queue depths at snapshot time.
     pub queue_depths: Vec<usize>,
@@ -324,42 +239,28 @@ impl fmt::Display for MetricsSnapshot {
 mod tests {
     use super::*;
 
+    /// The server reports quantiles by the shared ks-obs rule: the
+    /// exclusive upper bucket edge.
     #[test]
     fn histogram_buckets_and_quantiles() {
-        let h = LatencyHistogram::default();
+        let m = ServerMetrics::new(1);
         for _ in 0..99 {
-            h.record(Duration::from_nanos(100)); // bucket 6: [64, 128)
+            m.record_latency(0, Duration::from_nanos(100)); // bucket 6: [64, 128)
         }
-        h.record(Duration::from_micros(100)); // ~bucket 16
-        let counts = h.counts();
-        assert_eq!(counts[6], 99);
-        let p50 = quantile(&counts, 0.50).unwrap();
-        assert_eq!(p50, Duration::from_nanos(128));
-        let p99 = quantile(&counts, 0.99).unwrap();
-        assert_eq!(p99, Duration::from_nanos(128));
-        let p999 = quantile(&counts, 0.999).unwrap();
-        assert!(p999 > Duration::from_micros(64));
+        m.record_latency(0, Duration::from_micros(100)); // ~bucket 16
+        let snap = m.snapshot(Vec::new());
+        assert_eq!(snap.p50, Some(Duration::from_nanos(128)));
+        assert_eq!(snap.p99, Some(Duration::from_nanos(128)));
+        let counts = m.shard_latency()[0].snapshot();
+        assert_eq!(counts.nonzero().next(), Some((6, 99)));
+        assert!(counts.quantile(0.999).unwrap() > 64_000);
     }
 
     #[test]
     fn empty_histogram_has_no_quantiles() {
-        let h = LatencyHistogram::default();
-        assert_eq!(quantile(&h.counts(), 0.5), None);
-    }
-
-    #[test]
-    fn record_n_buckets_by_count() {
-        let h = LatencyHistogram::default();
-        h.record_n(0); // clamped to 1 → bucket 0
-        h.record_n(1); // bucket 0
-        h.record_n(6); // bucket 2: [4, 8)
-        h.record_n(32); // bucket 5: [32, 64)
-        let counts = h.counts();
-        assert_eq!(counts[0], 2);
-        assert_eq!(counts[2], 1);
-        assert_eq!(counts[5], 1);
-        // "p99 batch size" reads off the same quantile machinery.
-        assert_eq!(quantile(&counts, 1.0), Some(Duration::from_nanos(64)));
+        let snap = ServerMetrics::new(1).snapshot(Vec::new());
+        assert_eq!(snap.p50, None);
+        assert_eq!(snap.queue_wait_p99, None);
     }
 
     /// Regression: bucket 62's upper edge is `2^63` ns, which is
@@ -367,19 +268,18 @@ mod tests {
     /// report it as `u64::MAX`. Only bucket 63 may saturate.
     #[test]
     fn bucket_62_reports_its_upper_edge_not_saturation() {
-        let h = LatencyHistogram::default();
-        h.record(Duration::from_nanos(1u64 << 62));
-        let counts = h.counts();
-        assert_eq!(counts[62], 1);
+        let m = ServerMetrics::new(1);
+        m.record_latency(0, Duration::from_nanos(1u64 << 62));
         assert_eq!(
-            quantile(&counts, 1.0),
+            m.snapshot(Vec::new()).p99,
             Some(Duration::from_nanos(1u64 << 63))
         );
-        let h = LatencyHistogram::default();
-        h.record(Duration::from_nanos(u64::MAX));
-        let counts = h.counts();
-        assert_eq!(counts[63], 1);
-        assert_eq!(quantile(&counts, 1.0), Some(Duration::from_nanos(u64::MAX)));
+        let m = ServerMetrics::new(1);
+        m.record_latency(0, Duration::from_nanos(u64::MAX));
+        assert_eq!(
+            m.snapshot(Vec::new()).p99,
+            Some(Duration::from_nanos(u64::MAX))
+        );
     }
 
     #[test]
@@ -445,8 +345,8 @@ mod tests {
                             ServerMetrics::add(&m.committed);
                         }
                         m.record_latency(w, Duration::from_nanos(100 + i));
-                        m.queue_wait.record(Duration::from_nanos(50));
-                        m.exec_time.record(Duration::from_nanos(200));
+                        m.queue_wait.record(50);
+                        m.exec_time.record(200);
                     }
                 });
             }
@@ -466,13 +366,8 @@ mod tests {
         let expected = (WRITERS as u64) * PER_WRITER;
         let snap = m.snapshot(Vec::new());
         assert_eq!(snap.requests, expected);
-        let mass: u64 = m
-            .shard_latency()
-            .iter()
-            .map(|h| h.counts().iter().sum::<u64>())
-            .sum();
+        let mass: u64 = m.shard_latency().iter().map(|h| h.snapshot().total()).sum();
         assert_eq!(mass, expected, "histogram observations lost or duplicated");
-        let queue_mass: u64 = m.queue_wait.counts().iter().sum();
-        assert_eq!(queue_mass, expected);
+        assert_eq!(m.queue_wait.snapshot().total(), expected);
     }
 }

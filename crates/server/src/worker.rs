@@ -254,7 +254,6 @@ pub(crate) fn run(
                 Err(_) => break,
             }
         }
-        metrics.drain_batch.record_n(drained.len() as u64);
         if let Some(s) = &sink {
             s.emit(
                 NO_TXN,
@@ -270,7 +269,7 @@ pub(crate) fn run(
         } in drained.drain(..)
         {
             let queue_wait = enqueued.elapsed();
-            metrics.queue_wait.record(queue_wait);
+            metrics.queue_wait.record(queue_wait.as_nanos() as u64);
             ServerMetrics::add(&metrics.requests);
             let (op, txn32) = (request.op(), request.txn_u32());
             if let Some(s) = &sink {
@@ -305,7 +304,35 @@ pub(crate) fn run(
                 },
             );
             let exec_start = Instant::now();
-            let ok = match request {
+            // Stamp the execute time, emit `Reply` and close the Exec span.
+            // Every arm calls this before its reply can reach the client
+            // (a `reply.send` or a WAL ticket), so the client's Request
+            // root never closes around a still-open worker span.
+            let end_exec = |ok: bool| {
+                let exec = exec_start.elapsed();
+                metrics.exec_time.record(exec.as_nanos() as u64);
+                if let Some(s) = &sink {
+                    s.emit(
+                        txn32,
+                        ObsKind::Reply {
+                            op,
+                            ok,
+                            exec_ns: exec.as_nanos() as u64,
+                        },
+                    );
+                }
+                emit_span(
+                    &sink,
+                    trace,
+                    txn32,
+                    ObsKind::SpanEnd {
+                        hop: SpanHop::Exec,
+                        ok,
+                        trace,
+                    },
+                );
+            };
+            match request {
                 Request::Define {
                     spec,
                     after,
@@ -318,9 +345,8 @@ pub(crate) fn run(
                     if let (Some(w), Ok(txn)) = (&wal, &result) {
                         w.log_begin(txn.0 as u64, &sink);
                     }
-                    let ok = result.is_ok();
+                    end_exec(result.is_ok());
                     let _ = reply.send(result);
-                    ok
                 }
                 Request::Validate {
                     txn,
@@ -363,14 +389,13 @@ pub(crate) fn run(
                             trace,
                         },
                     );
+                    end_exec(ok);
                     let _ = reply.send(result);
-                    ok
                 }
                 Request::Read { txn, entity, reply } => {
                     let result = exec_read(&mut *cert, &metrics, txn, entity);
-                    let ok = result.is_ok();
+                    end_exec(result.is_ok());
                     let _ = reply.send(result);
-                    ok
                 }
                 Request::Write {
                     txn,
@@ -379,12 +404,10 @@ pub(crate) fn run(
                     reply,
                 } => {
                     let result = exec_write(&mut *cert, &metrics, &wal, &sink, txn, entity, value);
-                    let ok = result.is_ok();
+                    end_exec(result.is_ok());
                     let _ = reply.send(result);
-                    ok
                 }
                 Request::OpBatch { txn, ops, reply } => {
-                    metrics.op_batch.record_n(ops.len() as u64);
                     let results: Vec<Result<BatchReply, ServerError>> = ops
                         .iter()
                         .map(|op| match *op {
@@ -397,9 +420,8 @@ pub(crate) fn run(
                             }
                         })
                         .collect();
-                    let ok = results.iter().all(|r| r.is_ok());
+                    end_exec(results.iter().all(|r| r.is_ok()));
                     let _ = reply.send(Ok(results));
-                    ok
                 }
                 Request::Commit { txn, reply } => {
                     // The certifier's commit-time decision (output
@@ -455,6 +477,10 @@ pub(crate) fn run(
                             trace,
                         },
                     );
+                    // Exec closes before the WAL hops open: they are its
+                    // siblings under the connection handler, and the group
+                    // flusher may reply as soon as it holds the ticket.
+                    end_exec(ok);
                     // A successful commit acknowledges only once its WAL
                     // record is durable: inline, or deferred to the group
                     // flusher (which then owns the reply).
@@ -473,7 +499,6 @@ pub(crate) fn run(
                             let _ = reply.send(result);
                         }
                     }
-                    ok
                 }
                 Request::Abort { txn, reply } => {
                     // Aborting an already-aborted transaction is a no-op ack,
@@ -493,13 +518,13 @@ pub(crate) fn run(
                         },
                         Err(e) => Err(reject(e)),
                     };
-                    let ok = result.is_ok();
+                    end_exec(result.is_ok());
                     let _ = reply.send(result);
-                    ok
                 }
                 Request::Stats { reply } => {
-                    let _ = reply.send(cert.stats());
-                    true
+                    let stats = cert.stats();
+                    end_exec(true);
+                    let _ = reply.send(stats);
                 }
                 Request::Shutdown => {
                     // Graceful exit leaves the log durable whatever the
@@ -510,29 +535,7 @@ pub(crate) fn run(
                     }
                     break 'serve;
                 }
-            };
-            let exec = exec_start.elapsed();
-            metrics.exec_time.record(exec);
-            if let Some(s) = &sink {
-                s.emit(
-                    txn32,
-                    ObsKind::Reply {
-                        op,
-                        ok,
-                        exec_ns: exec.as_nanos() as u64,
-                    },
-                );
             }
-            emit_span(
-                &sink,
-                trace,
-                txn32,
-                ObsKind::SpanEnd {
-                    hop: SpanHop::Exec,
-                    ok,
-                    trace,
-                },
-            );
         }
     }
     cert

@@ -3,7 +3,9 @@
 #
 # Usage: scripts/check.sh
 # This is the gate referenced by ROADMAP.md's tier-1 line; CI and local
-# development run the same three steps.
+# development run the same three steps. The root Cargo.toml's
+# `default-members` makes the bare `cargo clippy`/`cargo test` below cover
+# the facade and every crate under crates/.
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -20,14 +22,8 @@ cargo clippy --all-targets -- -D warnings
 echo "== cargo test -q"
 cargo test -q
 
-echo "== cargo test -p ks-obs --test wire_roundtrip"
-cargo test -q -p ks-obs --test wire_roundtrip
-
 echo "== exp_server_load --smoke (serving layer + tracing overhead)"
 cargo run --release -q -p ks-bench --bin exp_server_load -- --smoke
-
-echo "== ks-net integration tests (loopback + retry/backoff + wire fuzz)"
-cargo test -q -p ks-net
 
 echo "== exp_net_load --smoke (loopback TCP vs in-process, pipeline×batch sweep)"
 cargo run --release -q -p ks-bench --bin exp_net_load -- --smoke
@@ -60,9 +56,6 @@ cargo run --release -q -p ks-bench --bin validate_bench -- \
     BENCH_net.json BENCH_server.json BENCH_wal.json BENCH_obs.json BENCH_certifier.json \
     BENCH_conn.json
 
-echo "== ks-dst (determinism + teeth + proto fuzz)"
-cargo test -q -p ks-dst
-
 echo "== dst_smoke --seeds 25 (seeded fault-injection gate)"
 cargo run --release -q -p ks-bench --bin dst_smoke -- --seeds 25
 
@@ -74,4 +67,4 @@ echo "== dst_smoke durability teeth (no commit-record flush ⇒ oracles must cat
 cargo run --release -q -p ks-bench --bin dst_smoke -- \
     --seeds 25 --disable commit-flush --expect-violation
 
-echo "OK: fmt, clippy, tests, obs wire round-trip, server smoke, net smoke, wal gate, obs gate, certifier gate, conn-scale gate, bench gate, dst gate all green"
+echo "OK: fmt, clippy, tests, server smoke, net smoke, wal gate, obs gate, certifier gate, conn-scale gate, bench gate, dst gate all green"

@@ -387,9 +387,15 @@ transaction every round at a 0% long-txn abort rate** (later writers
 just create new versions; its reads stay pinned to assigned versions),
 **SSI aborts it every round (100%)** — the long writer always loses
 first-committer-wins against the short-writer stream — and **2PL
-commits it but stalls the short writers** on its read locks (their
-aborts below are wait-or-die deadlock victims plus retry-budget
-exhaustion, and short-txn throughput pays for the long reader's locks).
+aborts it every round too**: its final write upgrades a shared lock on
+the hot entity to exclusive while short writers hold shared locks there
+waiting for their own upgrade, so the waits-for detector picks it as the
+deadlock victim; the short writers deadlock among themselves on the
+same upgrades and commit almost nothing (their aborts below are
+deadlock victims, plus one retry-budget exit per client at the stop).
+Until the short writers retried `Busy` instead of skipping the call,
+2PL rows showed the long transaction committing and short writers
+committing without their hot-entity write.
 Every run's history passes its backend's offline checker (CPC: the
 model check; SSI/2PL: conflict-graph acyclicity). `BENCH_certifier.json`
 records the curves; `validate_bench` enforces the directional gate
